@@ -135,7 +135,10 @@ def build_odd_system(f: SymmetricTensor) -> ParametricSystem:
         const.append(lift(f.poly.diff(i)).scale(GaussianRational.of(1) / f.d))
         xi = MultiPoly.variable(m, i + 1)
         linear.append(-(x0_pow * xi))
-    return ParametricSystem(const, linear)
+    # x0 -> -x0 maps the system at lam onto the system at -lam (d - 2 is
+    # odd); Res(F o A) = det(A)^(prod of degrees) Res(F), with det -1 and the
+    # even degree product 2 (d-1)^(n+1), so psi(-lam) = psi(lam)
+    return ParametricSystem(const, linear, even=True)
 
 
 def e_char_poly(f: SymmetricTensor, degree_bound: int | None = None) -> ECharPoly:

@@ -46,7 +46,7 @@ from .poly_core import (
     SymmetricTensor,
     restrict_to_conic,
 )
-from .resultant_engine import MacaulaySystem, macaulay_resultant, sylvester_resultant
+from .resultant_engine import resultant_value, sylvester_resultant
 
 
 class RatioMismatchError(ValueError):
@@ -176,8 +176,7 @@ def ternary_q_discriminant_proxy(f: SymmetricTensor) -> ExactScalar:
 def gradient_resultant(f: SymmetricTensor) -> ExactScalar:
     """Exact normalized resultant of the scaled gradient system (1/d) grad f."""
     inv_d = GaussianRational(Fraction(1, f.d))
-    forms = [f.poly.diff(i).scale(inv_d) for i in range(f.n_vars)]
-    return macaulay_resultant(MacaulaySystem(forms))
+    return resultant_value([f.poly.diff(i).scale(inv_d) for i in range(f.n_vars)])
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-import numpy as np
+# numpy is imported inside the numeric routes, so that importing espectra
+# (and running `espectra echar`, `verify` or `invariants`) does not load it
 
 from .echar import ECharPoly, _ISO_MINUS, _ISO_PLUS, _binary_form_roots
 from .poly_core import GaussianRational, MultiPoly, SymmetricTensor
@@ -112,6 +113,8 @@ def aberth_roots(
     each root against the original coefficients.  Multiple roots converge
     (only linearly) to clusters; the caller sees them with multiplicity.
     """
+    import numpy as np
+
     cs = list(coeffs)
     if not cs or all(c == 0 for c in cs):
         raise ValueError("aberth_roots needs a nonzero polynomial")
@@ -277,6 +280,8 @@ def _gauss_newton_solve(
     Residual vector: (1/d) grad f(x) - lam x followed by <x, x> - 1.
     Steps that increase the residual norm are halved up to 8 times.
     """
+    import numpy as np
+
     m = len(grads)
     x = x0.copy()
 
@@ -334,6 +339,8 @@ def _joint_newton(
     characteristic polynomial has a multiple root at lambda, so a few steps
     sharpen a 1e-8 candidate to machine precision.
     """
+    import numpy as np
+
     m = len(grads)
     v = np.concatenate([x, [lam]])
     for _ in range(max_iter):
@@ -401,6 +408,8 @@ def eigenpairs_from_charpoly(
     repeated eigenpairs and are dropped silently, while roots with no
     recovered class at all are recorded as failures.
     """
+    import numpy as np
+
     if charpoly.psi.is_zero():
         return SpectrumResult(pairs=[], failures=[
             RecoveryFailure(kind="IDENTICALLY_ZERO", detail="psi vanishes; spectrum is not discrete")
@@ -554,6 +563,8 @@ def _binary_direction_starts(grads: list[MultiPoly]) -> list[np.ndarray]:
     Isotropic directions are skipped; they have no normalized
     representative.
     """
+    import numpy as np
+
     x = [MultiPoly.variable(2, i) for i in range(2)]
     form = grads[0] * x[1] - grads[1] * x[0]
     if form.is_zero():
@@ -581,6 +592,8 @@ def _ternary_direction_starts(
     non-isotropic ones are normalized to the bilinear unit sphere.  Used
     only to seed Gauss-Newton, so double precision is sufficient.
     """
+    import numpy as np
+
     x = [MultiPoly.variable(3, i) for i in range(3)]
     minors = [
         grads[1] * x[2] - grads[2] * x[1],
@@ -653,6 +666,8 @@ def _ternary_direction_starts(
 
 def _formal_sylvester_det(p: list[complex], q: list[complex]) -> complex:
     """Sylvester determinant at the formal degrees len(p)-1, len(q)-1."""
+    import numpy as np
+
     m = len(p) - 1
     k = len(q) - 1
     size = m + k
@@ -666,6 +681,8 @@ def _formal_sylvester_det(p: list[complex], q: list[complex]) -> complex:
 
 def _fit_poly(xs: list[complex], ys: list[complex]) -> list[complex]:
     """Interpolating coefficients (ascending) through len(xs) points."""
+    import numpy as np
+
     van = np.vander(np.array(xs), increasing=True)
     sol = np.linalg.solve(van, np.array(ys))
     return [complex(v) for v in sol]

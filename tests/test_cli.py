@@ -95,6 +95,18 @@ def test_verify_suite_passes_and_pins_constant(capsys):
     assert o["invariants"]["eigen_count"] == 3
 
 
+def test_verify_suite_survives_singular_gradient_minor(capsys):
+    # one sample of this suite has a singular Macaulay minor in its gradient
+    # system; gradient_resultant must shear around it like psi sampling does
+    code, out = run(
+        capsys, ["verify", "--suite", "2,3", "--samples", "4", "--seed", "2090200"]
+    )
+    assert code == EXIT_OK
+    o = report_outputs(out)
+    assert [v["verdict"] for v in o["verdicts"]] == ["PASS"] * 4
+    assert o["constant_agrees"] is True
+
+
 def test_verify_rejects_both_or_neither_inputs(tmp_path, capsys):
     code, _ = run(capsys, ["verify"])
     assert code == EXIT_USAGE

@@ -1,9 +1,12 @@
 """Characteristic polynomial construction, degrees, parity, deficiency."""
 
+import dataclasses
+
 import pytest
 
 from espectra.echar import (
     UnsupportedDimensionError,
+    build_odd_system,
     e_char_poly,
     find_deficit_solution,
     generic_eigen_count,
@@ -16,6 +19,11 @@ from espectra.poly_core import (
     MultiPoly,
     SymmetricTensor,
     quadric_form,
+)
+from espectra.resultant_engine import (
+    MacaulaySystem,
+    macaulay_resultant,
+    parametric_resultant,
 )
 
 
@@ -131,3 +139,19 @@ def test_fermat_cubic_psi_has_generic_degree():
     assert cp.psi.degree == 14
     assert cp.psi.even_part_only()
     assert not cp.deficient
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (1, 5), (2, 3)])
+def test_odd_psi_from_half_the_nodes_equals_full_interpolation(n, d):
+    # e_char_poly builds odd psi as g(lam^2) from lam = 0..N, which makes
+    # its parity hold by construction; the parity law itself is checked here
+    # against the interpolation on the full node set 0, +-1, +-2, ...
+    f = random_tensor(n, d, seed=31)
+    system = build_odd_system(f)
+    bound = psi_degree_bound(n, d)
+    full = parametric_resultant(dataclasses.replace(system, even=False), bound)
+    psi = e_char_poly(f).psi
+    assert psi == full
+    for k in (1, 2, bound // 2 + 1):
+        direct = macaulay_resultant(MacaulaySystem(system.at(-k)))
+        assert psi.eval_exact(gr(-k)) == direct
