@@ -107,9 +107,9 @@ class RunReport:
         )
 
 
-def _digest_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+def _digest_json(doc: dict) -> str:
+    """Digest of a canonical JSON document: key order and whitespace fixed."""
+    return _digest_text(json.dumps(doc, sort_keys=True))
 
 
 def _digest_text(text: str) -> str:
@@ -146,6 +146,24 @@ def system_from_json(doc: dict) -> tuple[ParametricSystem, dict]:
     return ParametricSystem(const_part=const, linear_part=linear), meta
 
 
+def system_to_json(system: ParametricSystem, meta: dict) -> dict:
+    """Inverse of system_from_json, with each form's terms in canonical order."""
+    forms = []
+    for const, linear in zip(system.const_part, system.linear_part):
+        terms = [
+            {"exp": list(e), "lambda_deg": k, **scalar_to_json(c)}
+            for k, part in ((0, const), (1, linear))
+            for e, c in part.sorted_terms()
+        ]
+        forms.append({"terms": terms})
+    return {
+        "n_vars": system.const_part[0].n_vars,
+        "degree_bound": meta["degree_bound"],
+        "parity": meta["parity"],
+        "forms": forms,
+    }
+
+
 def _psi_fields(psi: UniPoly) -> dict:
     prim, content = psi.primitive_part()
     return {
@@ -174,7 +192,7 @@ def _cmd_echar(args) -> tuple[str, dict, int]:
             "identically_zero": psi.is_zero(),
             **_psi_fields(psi),
         }
-        return _digest_file(args.input), outputs, EXIT_OK
+        return _digest_json(system_to_json(system, meta)), outputs, EXIT_OK
     f = tensor_from_json(doc)
     ec = e_char_poly(f)
     outputs = {
@@ -188,7 +206,7 @@ def _cmd_echar(args) -> tuple[str, dict, int]:
         "identically_zero": ec.identically_zero,
         **_psi_fields(ec.psi),
     }
-    return _digest_file(args.input), outputs, EXIT_OK
+    return _digest_json(tensor_to_json(f)), outputs, EXIT_OK
 
 
 def _diagonal_coeffs(f: SymmetricTensor) -> list[GaussianRational]:
@@ -254,10 +272,10 @@ def _cmd_eigen(args) -> tuple[str, dict, int]:
             for p in pairs
         ],
         "failures": [{"kind": fl.kind, "detail": fl.detail} for fl in result.failures],
-        "product": _fmt_complex(product_of_eigenvalues(pairs, parity)),
+        "product": _fmt_complex(product_of_eigenvalues(pairs)),
     }
     code = EXIT_RECOVERY if result.failures else EXIT_OK
-    return _digest_file(args.input), outputs, code
+    return _digest_json(tensor_to_json(f)), outputs, code
 
 
 def _certificate_json(cert) -> dict | None:
@@ -294,7 +312,7 @@ def _cmd_verify(args) -> tuple[str, dict, int]:
         f = tensor_from_json(_load_json(args.input))
         report = verify_main_theorem(f)
         code = EXIT_VERIFY if report.verdict == "FAIL" else EXIT_OK
-        return _digest_file(args.input), _verify_outputs(report), code
+        return _digest_json(tensor_to_json(f)), _verify_outputs(report), code
     try:
         n_str, d_str = args.suite.split(",")
         n, d = int(n_str), int(d_str)

@@ -558,17 +558,34 @@ class UniPoly:
 
         Returns (q, m) pairs with self equal, up to its leading coefficient,
         to the product of the q**m, each q monic and square-free, ordered by
-        increasing m; multiplicities with no factor are omitted.  Yun's
-        iteration, exact over the Gaussian rationals.  Roots of q carry
-        multiplicity exactly m in self, which is what downstream eigenvector
-        recovery needs: a numeric root finder locates an m-fold root only to
-        about eps**(1/m), while the roots of q itself are all simple.
+        increasing m; multiplicities with no factor are omitted.  Roots of q
+        carry multiplicity exactly m in self, which is what downstream
+        eigenvector recovery needs: a numeric root finder locates an m-fold
+        root only to about eps**(1/m), while the roots of q itself are all
+        simple.
+
+        A modular certificate settles the common square-free case first.
+        Clear denominators to F in Z[i][x] and map it to F_P[x] by
+        i -> sqrt(-1) mod P, for each P in _CERTIFICATE_PRIMES (all
+        P = 1 mod 4, so the map is a ring homomorphism onto F_P).  If the
+        leading coefficient survives and gcd(F mod P, F' mod P) = 1, self
+        is square-free and the answer is [(monic self, 1)].  Proof: were
+        g = gcd(F, F') over Q(i) of positive degree, then by Gauss's lemma
+        over the UFD Z[i] it can be taken primitive in Z[i][x] with
+        F = g h and F' = g k, h and k in Z[i][x].  Reducing, g mod P divides
+        both images, and since lc(F) = lc(g) lc(h) does not vanish mod P,
+        neither does lc(g), so g mod P keeps its positive degree: the
+        modular gcd could not be 1.  When every prime is unlucky, or self
+        really has a repeated root, Yun's iteration runs exactly over the
+        Gaussian rationals, so the result is the same in every case.
         """
         if self.is_zero():
             raise ValueError("square-free decomposition of the zero polynomial")
         p = self.scale(ONE / self.coeffs[-1])
         if p.degree == 0:
             return []
+        if _modular_squarefree(self):
+            return [(p, 1)]
         dp = p.derivative()
         g = _uni_gcd(p, dp)
         if g.degree == 0:
@@ -667,10 +684,6 @@ class SymmetricTensor:
 def gradient(f: SymmetricTensor) -> list[MultiPoly]:
     """All first partials of the associated form, in variable order."""
     return [f.poly.diff(i) for i in range(f.n_vars)]
-
-
-def evaluate(p: MultiPoly, point: Sequence[complex]) -> complex:
-    return p.evaluate(point)
 
 
 def euler_check(f: SymmetricTensor, point: Sequence[complex]) -> float:
@@ -781,6 +794,60 @@ def _uni_divmod(num: UniPoly, den: UniPoly) -> tuple[UniPoly, UniPoly]:
             rem[k + j] = rem[k + j] - factor * den.coeffs[j]
         rem.pop()
     return UniPoly(q), UniPoly(rem)
+
+
+# word-size primes P = 1 (mod 4) for the square-free certificate; below
+# 2**31, so every residue product is a small int
+_CERTIFICATE_PRIMES = (2147483629, 2147483549, 2147483497)
+
+
+def _sqrt_minus_one(prime: int) -> int:
+    """A square root of -1 modulo a prime = 1 (mod 4)."""
+    c = 2
+    while pow(c, (prime - 1) // 2, prime) != prime - 1:
+        c += 1
+    return pow(c, (prime - 1) // 4, prime)
+
+
+def _gcd_degree_mod(a: list[int], b: list[int], prime: int) -> int:
+    """Degree of gcd(a, b) in F_prime[x], ascending residue lists."""
+    def trim(v: list[int]) -> list[int]:
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    a, b = trim(list(a)), trim(list(b))
+    while b:
+        inv = pow(b[-1], -1, prime)
+        db = len(b) - 1
+        while len(a) > db:
+            q = a[-1] * inv % prime
+            shift = len(a) - 1 - db
+            for j in range(db):
+                a[shift + j] = (a[shift + j] - q * b[j]) % prime
+            a.pop()
+            trim(a)
+        a, b = b, a
+    return len(a) - 1
+
+
+def _modular_squarefree(f: UniPoly) -> bool:
+    """True when a certificate prime proves f square-free.
+
+    False only means that no prime was conclusive; the argument is in
+    UniPoly.squarefree_decomposition.
+    """
+    prim, _ = f.primitive_part()  # Gaussian-integer coefficients
+    ints = [(c.re.numerator, c.im.numerator) for c in prim.coeffs]
+    for prime in _CERTIFICATE_PRIMES:
+        s = _sqrt_minus_one(prime)
+        image = [(a + b * s) % prime for a, b in ints]
+        if image[-1] == 0:
+            continue
+        deriv = [j * c % prime for j, c in enumerate(image)][1:]
+        if _gcd_degree_mod(image, deriv, prime) == 0:
+            return True
+    return False
 
 
 def _uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:

@@ -18,9 +18,15 @@ Three extraction routes, in increasing generality:
     with explicit radicals in the a_i, so no root finding is involved.
   * eigenpairs_from_charpoly: generic route.  Roots of the exact
     E-characteristic polynomial (Aberth-Ehrlich iteration on the double
-    precision image) are each completed to an eigenvector by a damped
-    Gauss-Newton iteration from random starts.  Roots whose recovery fails
-    are reported in the result rather than raised.
+    precision image of each square-free factor) are each completed to an
+    eigenvector by a damped Gauss-Newton iteration from random starts,
+    then sharpened by Newton on (x, lambda) jointly.  Both iterations, the
+    acceptance gate and the reported residuals read grad f and its
+    Jacobian from one _CompiledDerivatives per tensor: exponent and
+    complex coefficient matrices built once from the exact form, so each
+    evaluation is one monomial vector and one matrix product instead of a
+    walk over exact coefficients.  Roots whose recovery fails are reported
+    in the result rather than raised.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from itertools import combinations, product
 # (and running `espectra echar`, `verify` or `invariants`) does not load it
 
 from .echar import ECharPoly, _ISO_MINUS, _ISO_PLUS, _binary_form_roots
-from .poly_core import GaussianRational, MultiPoly, SymmetricTensor
+from .poly_core import GaussianRational, MultiPoly, SymmetricTensor, gradient
 
 
 RESIDUAL_SUCCESS = 1e-10
@@ -195,7 +201,7 @@ def canonical_pair(lam: complex, x: tuple[complex, ...], parity: str):
     return lam, x
 
 
-def product_of_eigenvalues(pairs: list[EigenPair], parity: str) -> complex:
+def product_of_eigenvalues(pairs: list[EigenPair]) -> complex:
     """Product of the representative eigenvalues, one per sign class.
 
     For odd parity each representative is defined up to sign, so the
@@ -267,10 +273,95 @@ def binary_eigenpairs(f: SymmetricTensor) -> list[EigenPair]:
 # generic route: characteristic polynomial roots + Gauss-Newton recovery
 # ---------------------------------------------------------------------------
 
+class _CompiledDerivatives:
+    """grad f and its Jacobian, compiled once for double evaluation.
+
+    Each family (the m first partials, the m*m second partials) shares one
+    integer exponent matrix E over the union of its monomials and one
+    complex coefficient matrix C, one row per partial, each exact
+    coefficient converted by complex() once.  A point x then gives every
+    partial of the family as C @ prod(x**E, axis=1).  Built per tensor by
+    eigenpairs_from_charpoly and dropped with it.
+    """
+
+    def __init__(self, f: SymmetricTensor):
+        self.d = f.d
+        self.m = f.n_vars
+        self.grads = gradient(f)
+        self._grad = self._compile(self.grads)
+        self._hess = self._compile(
+            [g.diff(k) for g in self.grads for k in range(self.m)]
+        )
+
+    def _compile(self, polys: list[MultiPoly]):
+        import numpy as np
+
+        monos = sorted(set().union(*(p.terms for p in polys)))
+        index = {e: j for j, e in enumerate(monos)}
+        coeffs = np.zeros((len(polys), len(monos)), dtype=complex)
+        for i, p in enumerate(polys):
+            for e, c in p.terms.items():
+                coeffs[i, index[e]] = complex(c)
+        exps = np.array(monos, dtype=np.int64).reshape(len(monos), self.m)
+        return exps, coeffs
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """All m first partials at x."""
+        exps, coeffs = self._grad
+        return coeffs @ (x**exps).prod(axis=1)
+
+    def hessian(self, x: np.ndarray) -> np.ndarray:
+        """The m x m second partials at x."""
+        exps, coeffs = self._hess
+        return (coeffs @ (x**exps).prod(axis=1)).reshape(self.m, self.m)
+
+    def residual(self, lam: complex, x: tuple[complex, ...]) -> float:
+        """eigen_residual of (lam, x): max |(1/d) grad f(x) - lam x|."""
+        import numpy as np
+
+        v = np.array(x, dtype=complex)
+        return float(abs(self.gradient(v) / self.d - lam * v).max())
+
+
+def _householder_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Least-squares solution of the tall system a x = b by Householder QR.
+
+    The Gauss-Newton Jacobian is at most 5 x 4, so plain complex arithmetic
+    costs about what np.linalg.lstsq does, and it keeps LAPACK's SVD driver
+    (about 1.3 MB of resident library code) out of the process.  Returns
+    None when a column is zero below the diagonal, i.e. depends on the
+    columns before it.
+    """
+    import numpy as np
+
+    rows, cols = a.shape
+    r = a.tolist()
+    y = b.tolist()
+    for k in range(cols):
+        v = [r[i][k] for i in range(k, rows)]
+        norm2 = sum(z.real * z.real + z.imag * z.imag for z in v)
+        if norm2 == 0.0:
+            return None
+        alpha = math.sqrt(norm2)
+        lead = v[0]
+        v[0] = lead + (lead / abs(lead) if lead else 1.0) * alpha
+        # H = I - v v^H / (v^H v / 2), and v^H v / 2 = alpha (alpha + |lead|)
+        scale = 1.0 / (alpha * (alpha + abs(lead)))
+        for j in range(k, cols):
+            t = scale * sum(vi.conjugate() * r[k + i][j] for i, vi in enumerate(v))
+            for i, vi in enumerate(v):
+                r[k + i][j] -= t * vi
+        t = scale * sum(vi.conjugate() * y[k + i] for i, vi in enumerate(v))
+        for i, vi in enumerate(v):
+            y[k + i] -= t * vi
+    x = [0j] * cols
+    for k in range(cols - 1, -1, -1):
+        x[k] = (y[k] - sum(r[k][j] * x[j] for j in range(k + 1, cols))) / r[k][k]
+    return np.array(x)
+
+
 def _gauss_newton_solve(
-    grads: list[MultiPoly],
-    hess: list[list[MultiPoly]],
-    d: int,
+    ev: _CompiledDerivatives,
     lam: complex,
     x0: np.ndarray,
     max_iter: int = 100,
@@ -282,39 +373,33 @@ def _gauss_newton_solve(
     """
     import numpy as np
 
-    m = len(grads)
+    m, d = ev.m, ev.d
     x = x0.copy()
 
     def residual(v: np.ndarray) -> np.ndarray:
-        vt = tuple(v)
         r = np.empty(m + 1, dtype=complex)
-        for i in range(m):
-            r[i] = grads[i].evaluate(vt) / d - lam * v[i]
-        r[m] = np.sum(v * v) - 1.0
+        r[:m] = ev.gradient(v) / d - lam * v
+        r[m] = (v * v).sum() - 1.0
         return r
 
     r = residual(x)
-    rn = float(np.max(np.abs(r)))
+    rn = float(abs(r).max())
     for _ in range(max_iter):
         if rn < RESIDUAL_SUCCESS:
             break
-        vt = tuple(x)
         jac = np.empty((m + 1, m), dtype=complex)
-        for i in range(m):
-            for k in range(m):
-                jac[i, k] = hess[i][k].evaluate(vt) / d
-            jac[i, i] -= lam
+        jac[:m] = ev.hessian(x) / d
+        jac[range(m), range(m)] -= lam
         jac[m, :] = 2.0 * x
-        try:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        except np.linalg.LinAlgError:
+        step = _householder_lstsq(jac, -r)
+        if step is None:
             break
         alpha = 1.0
         improved = False
         for _ in range(8):
             cand = x + alpha * step
             rc = residual(cand)
-            rcn = float(np.max(np.abs(rc)))
+            rcn = float(abs(rc).max())
             if rcn < rn:
                 x, r, rn = cand, rc, rcn
                 improved = True
@@ -326,9 +411,7 @@ def _gauss_newton_solve(
 
 
 def _joint_newton(
-    grads: list[MultiPoly],
-    hess: list[list[MultiPoly]],
-    d: int,
+    ev: _CompiledDerivatives,
     lam: complex,
     x: np.ndarray,
     max_iter: int = 6,
@@ -341,22 +424,19 @@ def _joint_newton(
     """
     import numpy as np
 
-    m = len(grads)
+    m, d = ev.m, ev.d
     v = np.concatenate([x, [lam]])
     for _ in range(max_iter):
-        xs = tuple(v[:m])
+        xs = v[:m]
         cl = v[m]
         fun = np.empty(m + 1, dtype=complex)
-        for i in range(m):
-            fun[i] = grads[i].evaluate(xs) / d - cl * v[i]
-        fun[m] = np.sum(v[:m] * v[:m]) - 1.0
+        fun[:m] = ev.gradient(xs) / d - cl * xs
+        fun[m] = (xs * xs).sum() - 1.0
         jac = np.zeros((m + 1, m + 1), dtype=complex)
-        for i in range(m):
-            for k in range(m):
-                jac[i, k] = hess[i][k].evaluate(xs) / d
-            jac[i, i] -= cl
-            jac[i, m] = -v[i]
-        jac[m, :m] = 2.0 * v[:m]
+        jac[:m, :m] = ev.hessian(xs) / d
+        jac[range(m), range(m)] -= cl
+        jac[:m, m] = -xs
+        jac[m, :m] = 2.0 * xs
         try:
             step = np.linalg.solve(jac, -fun)
         except np.linalg.LinAlgError:
@@ -416,8 +496,7 @@ def eigenpairs_from_charpoly(
         ])
     m = f.n_vars
     parity = charpoly.parity
-    grads = [f.poly.diff(i) for i in range(m)]
-    hess = [[grads[i].diff(k) for k in range(m)] for i in range(m)]
+    ev = _CompiledDerivatives(f)
     rng = np.random.default_rng(seed + 1)
     failures: list[RecoveryFailure] = []
     direction_starts: list[np.ndarray] | None = None
@@ -434,10 +513,10 @@ def eigenpairs_from_charpoly(
     def polish(mu: complex, x: np.ndarray):
         """Joint Newton from (x, mu); None unless it lands on an eigenpair
         of this root."""
-        xp, lp = _joint_newton(grads, hess, f.d, mu, x)
+        xp, lp = _joint_newton(ev, mu, x)
         xt = tuple(complex(c) for c in xp)
         ok = (
-            eigen_residual(f, lp, xt) <= RESIDUAL_REPORT * (1.0 + abs(lp))
+            ev.residual(lp, xt) <= RESIDUAL_REPORT * (1.0 + abs(lp))
             and _norm_defect(xt) <= RESIDUAL_REPORT
             and abs(lp - mu) <= tight(mu)
         )
@@ -478,7 +557,7 @@ def eigenpairs_from_charpoly(
             scale = _START_SCALES[s % len(_START_SCALES)]
             x0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             x0 *= scale / math.sqrt(2 * m)
-            x, rn = _gauss_newton_solve(grads, hess, f.d, mu, x0)
+            x, rn = _gauss_newton_solve(ev, mu, x0)
             if rn <= _GN_ACCEPT * (1.0 + abs(mu)):
                 got = polish(mu, x)
                 if got is not None and want(got):
@@ -489,9 +568,9 @@ def eigenpairs_from_charpoly(
         nonlocal direction_starts
         if direction_starts is None:
             if m == 2:
-                direction_starts = _binary_direction_starts(grads)
+                direction_starts = _binary_direction_starts(ev.grads)
             elif m == 3:
-                direction_starts = _ternary_direction_starts(f, grads)
+                direction_starts = _ternary_direction_starts(f, ev.grads)
             else:
                 direction_starts = []
         if not direction_starts:
@@ -508,7 +587,7 @@ def eigenpairs_from_charpoly(
             key=lambda v: abs(f.poly.evaluate(tuple(v)) - mu),
         )
         for x0 in ordered:
-            x, rn = _gauss_newton_solve(grads, hess, f.d, mu, x0)
+            x, rn = _gauss_newton_solve(ev, mu, x0)
             if rn <= _GN_ACCEPT * (1.0 + abs(mu)):
                 got = polish(mu, x)
                 if got is not None and want(got):
@@ -537,7 +616,7 @@ def eigenpairs_from_charpoly(
         for lam, x in cl["found"]:
             clam, cx = canonical_pair(lam, x, parity)
             pairs.append(
-                EigenPair(lam=clam, x=cx, residual=eigen_residual(f, clam, cx))
+                EigenPair(lam=clam, x=cx, residual=ev.residual(clam, cx))
             )
         for _ in range(cl["missing"]):
             if cl["found"]:

@@ -126,11 +126,7 @@ def test_binary_eigenvalue_product_law():
             res_abs = abs(complex(gradient_resultant(f)))
             lhs = vieta_abs * abs(complex(qdisc)) ** ((d - 2) / 2.0)
             assert abs(lhs - res_abs) <= 1e-6 * res_abs
-            numeric = abs(
-                product_of_eigenvalues(
-                    binary_eigenpairs(f), "even" if d % 2 == 0 else "odd"
-                )
-            )
+            numeric = abs(product_of_eigenvalues(binary_eigenpairs(f)))
             assert abs(numeric - vieta_abs) <= 1e-6 * (1.0 + vieta_abs)
     assert time.perf_counter() - started <= 120.0
 
@@ -144,8 +140,7 @@ def test_diagonal_closed_form_counts_products_and_resultant():
             assert not result.failures
             count = generic_eigen_count(n, d)
             assert len(result.pairs) == count
-            parity = "even" if d % 2 == 0 else "odd"
-            prod = abs(product_of_eigenvalues(result.pairs, parity))
+            prod = abs(product_of_eigenvalues(result.pairs))
             g = 1.0 + 0j
             for z in spec.a:
                 g *= z

@@ -1,9 +1,16 @@
 """In-process drives of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import espectra
 from espectra.cli import (
     EXIT_OK,
     EXIT_RECOVERY,
@@ -16,6 +23,8 @@ from espectra.cli import (
 from espectra.invariants import MainTheoremReport
 from espectra.poly_core import tensor_from_json, tensor_to_json
 from espectra.generators import random_tensor, tangent_tensor
+
+REFERENCE_SYSTEM = resources.files("espectra") / "fixtures/tangent_ternary_cubic_system.json"
 
 
 def write_tensor(tmp_path, f, name="tensor.json"):
@@ -219,3 +228,59 @@ def test_oversized_system_exits_three(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _ = run(capsys, ["echar", "--input", str(path)])
     assert code == EXIT_RESULTANT
+
+
+def test_input_digest_is_canonical(tmp_path, capsys):
+    f = random_tensor(1, 3, seed=2)
+    doc = tensor_to_json(f)
+    first = tmp_path / "a.json"
+    first.write_text(json.dumps(doc, sort_keys=True, indent=2))
+    # same tensor: keys reversed, terms reversed, other whitespace, and one
+    # coefficient respelled as an unreduced fraction
+    terms = [dict(reversed(list(t.items()))) for t in reversed(doc["coeffs"])]
+    num, den = Fraction(terms[0]["re"]).as_integer_ratio()
+    terms[0]["re"] = f"{2 * num}/{2 * den}"
+    second = tmp_path / "b.json"
+    second.write_text(json.dumps({"coeffs": terms, "d": 3, "n": 1}, separators=(",", ":")))
+    other = write_tensor(tmp_path, random_tensor(1, 3, seed=3), name="c.json")
+    digests = []
+    for path in (str(first), str(second), other):
+        code, out = run(capsys, ["echar", "--input", path])
+        assert code == EXIT_OK
+        digests.append(RunReport.parse(out).input_digest)
+    assert digests[0] == digests[1] != digests[2]
+    code, out = run(capsys, ["eigen", "--input", str(second)])
+    assert code == EXIT_OK
+    assert RunReport.parse(out).input_digest == digests[0]
+
+
+def test_system_file_digest_is_canonical(tmp_path, capsys):
+    doc = json.loads(REFERENCE_SYSTEM.read_text())
+    for form in doc["forms"]:
+        form["terms"].reverse()
+    shuffled = tmp_path / "system.json"
+    shuffled.write_text(json.dumps(doc, indent=1))
+    digests = []
+    for path in (str(REFERENCE_SYSTEM), str(shuffled)):
+        code, out = run(capsys, ["echar", "--input", path])
+        assert code == EXIT_OK
+        digests.append(RunReport.parse(out).input_digest)
+    assert digests[0] == digests[1]
+
+
+def test_echar_leaves_numpy_unloaded(tmp_path):
+    path = write_tensor(tmp_path, random_tensor(1, 3, seed=4))
+    script = (
+        "import sys, espectra, espectra.cli\n"
+        "before = 'numpy' in sys.modules\n"
+        "code = espectra.cli.main(['echar', '--input', sys.argv[1]])\n"
+        "print(before, 'numpy' in sys.modules, code)\n"
+    )
+    src = str(Path(espectra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False 0"

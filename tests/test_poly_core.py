@@ -2,9 +2,12 @@
 
 import json
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from espectra import poly_core
 from espectra.poly_core import (
     GaussianRational,
     MultiPoly,
@@ -241,3 +244,63 @@ def test_restrict_to_conic_kills_isotropic_factor():
     x = MultiPoly.variable(3, 0)
     f = SymmetricTensor(q * x, 3)
     assert restrict_to_conic(f).is_zero()
+
+
+def _monic_product(factors):
+    out = UniPoly.constant(1)
+    for q, mult in factors:
+        for _ in range(mult):
+            out = out * q
+    return out.scale(GaussianRational.of(1) / out.coeffs[-1])
+
+
+_small = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+
+
+@st.composite
+def factored_polys(draw):
+    """Products of random degree 1-2 factors with multiplicities 1-4."""
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 2))
+        coeffs = [GaussianRational(draw(_small), draw(_small)) for _ in range(deg)]
+        coeffs.append(GaussianRational.of(draw(st.integers(1, 5)), draw(st.integers(-2, 2))))
+        factors.append((UniPoly(coeffs), draw(st.integers(1, 4))))
+    scale = GaussianRational(draw(_small.filter(bool)), draw(_small))
+    return _monic_product(factors).scale(scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factored_polys())
+def test_squarefree_certificate_agrees_with_yun(p):
+    with patch.object(poly_core, "_CERTIFICATE_PRIMES", ()):
+        yun = p.squarefree_decomposition()
+    assert p.squarefree_decomposition() == yun
+    # the certificate fires on every square-free input here: being wrong
+    # would need all three primes to be unlucky
+    if [m for _, m in yun] == [1]:
+        assert poly_core._modular_squarefree(p)
+
+
+def test_squarefree_certificate_unlucky_prime_falls_through():
+    prime = poly_core._CERTIFICATE_PRIMES[0]
+    a = 7
+    # distinct roots a and a + P collide mod P, so the image has a double root
+    f = UniPoly([-a, 1]) * UniPoly([-(a + prime), 1])
+    with patch.object(poly_core, "_CERTIFICATE_PRIMES", (prime,)):
+        assert not poly_core._modular_squarefree(f)
+        assert f.squarefree_decomposition() == [(f, 1)]
+
+
+def test_squarefree_certificate_skips_prime_dividing_leading_coefficient():
+    prime = poly_core._CERTIFICATE_PRIMES[0]
+    # (P x - 1)^2 (x + 2) maps to x + 2 mod P, square-free, but only because
+    # the degree dropped; the prime must be skipped, not trusted
+    f = UniPoly([-1, prime]) * UniPoly([-1, prime]) * UniPoly([2, 1])
+    with patch.object(poly_core, "_CERTIFICATE_PRIMES", (prime,)):
+        assert not poly_core._modular_squarefree(f)
+        got = f.squarefree_decomposition()
+    assert got == [
+        (UniPoly([2, 1]), 1),
+        (UniPoly([GaussianRational.of(Fraction(-1, prime)), 1]), 2),
+    ]

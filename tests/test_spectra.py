@@ -2,15 +2,19 @@
 
 import cmath
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from espectra.echar import e_char_poly
 from espectra.generators import fermat_tensor, random_tensor, tangent_tensor
 from espectra.poly_core import GaussianRational, MultiPoly, SymmetricTensor
 from espectra.spectra import (
     FermatSpec,
+    _CompiledDerivatives,
+    _householder_lstsq,
     IsotropicRootError,
     ZeroCoefficientError,
     aberth_roots,
@@ -197,7 +201,7 @@ def test_fermat_route_rejects_zero_coefficient():
 def test_product_of_eigenvalues_matches_manual():
     f = random_tensor(1, 4, seed=11)
     pairs = binary_eigenpairs(f)
-    prod = product_of_eigenvalues(pairs, "even")
+    prod = product_of_eigenvalues(pairs)
     manual = 1.0 + 0j
     for p in pairs:
         manual *= p.lam
@@ -277,3 +281,67 @@ def test_charpoly_route_matches_closed_form_on_repeated_odd_spectrum():
     b = sorted(round(abs(p.lam), 9) for p in closed.pairs)
     assert len(a) == len(b) == 7
     assert a == b
+
+
+_fractions = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@st.composite
+def gaussian_forms(draw):
+    """A random Gaussian-rational form with n <= 3, d <= 6, and a point."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 6))
+    monos = [
+        e for e in product(range(d + 1), repeat=n + 1) if sum(e) == d
+    ]
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, unique=True))
+    terms = {e: GaussianRational(draw(_fractions), draw(_fractions)) for e in chosen}
+    parts = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    x = [complex(draw(parts), draw(parts)) for _ in range(n + 1)]
+    return SymmetricTensor(MultiPoly(n + 1, terms), d), x
+
+
+def _term_scale(p, x):
+    """Sum of |c| |x^e| over the terms: the size rounding error is measured in."""
+    return sum(
+        abs(complex(c)) * math.prod(abs(z) ** k for z, k in zip(x, e))
+        for e, c in p.terms.items()
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(gaussian_forms())
+def test_compiled_derivatives_match_multipoly_evaluate(case):
+    f, x = case
+    ev = _CompiledDerivatives(f)
+    grad = ev.gradient(np.array(x))
+    hess = ev.hessian(np.array(x))
+    m = f.n_vars
+    for i in range(m):
+        gi = f.poly.diff(i)
+        assert abs(grad[i] - gi.evaluate(x)) <= 1e-12 * _term_scale(gi, x)
+        for k in range(m):
+            hik = gi.diff(k)
+            assert abs(hess[i, k] - hik.evaluate(x)) <= 1e-12 * _term_scale(hik, x)
+    lam = complex(0.5, -1.0)
+    scale = max(_term_scale(f.poly.diff(i), x) for i in range(m)) + abs(lam)
+    assert abs(
+        ev.residual(lam, tuple(x)) - eigen_residual(f, lam, tuple(x))
+    ) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_householder_lstsq_matches_numpy(m, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m + 1, m)) + 1j * rng.standard_normal((m + 1, m))
+    b = rng.standard_normal(m + 1) + 1j * rng.standard_normal(m + 1)
+    want = np.linalg.lstsq(a, b, rcond=None)[0]
+    got = _householder_lstsq(a, b)
+    cond = np.linalg.cond(a)
+    assert np.max(np.abs(got - want)) <= 1e-13 * cond * (1.0 + np.max(np.abs(want)))
+
+
+def test_householder_lstsq_reports_dependent_column():
+    a = np.array([[1.0, 0.0], [1j, 0.0], [2.0, 0.0]])
+    assert _householder_lstsq(a, np.ones(3, dtype=complex)) is None
