@@ -38,6 +38,7 @@ from .generators import (
 )
 from .invariants import (
     RatioMismatchError,
+    TensorAnalysis,
     constant_term_ratio,
     invariant_report,
     verify_main_theorem,
@@ -319,12 +320,13 @@ def _cmd_verify(args) -> tuple[str, dict, int]:
     except ValueError as exc:
         raise ValueError(f"--suite expects 'n,d', got {args.suite!r}") from exc
     digest = _digest_text(f"suite:{n},{d}:{args.samples}:{args.seed}")
+    # one analysis per sample: the verdicts and the constant check share
+    # each sample's psi and gradient resultant
     samples = [
-        random_tensor(n, d, seed=args.seed + 1000 * k) for k in range(args.samples)
+        TensorAnalysis(random_tensor(n, d, seed=args.seed + 1000 * k))
+        for k in range(args.samples)
     ]
-    verdicts = []
-    for f in samples:
-        verdicts.append(_verify_outputs(verify_main_theorem(f)))
+    verdicts = [_verify_outputs(verify_main_theorem(a)) for a in samples]
     ratio_doc: dict = {}
     code = EXIT_VERIFY if any(v["verdict"] == "FAIL" for v in verdicts) else EXIT_OK
     if len(samples) >= 2:

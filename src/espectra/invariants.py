@@ -23,12 +23,22 @@ representatives times the discriminant power equals the gradient resultant
 the proxy).  constant_term_ratio checks that the ratio of the constant
 coefficient of the characteristic polynomial to the gradient resultant is
 one fixed exact number across samples of the same shape.
+
+Both checks read the same two exact values of a tensor: its characteristic
+polynomial psi and its gradient resultant Res((1/d) grad f).  A
+TensorAnalysis wraps one tensor and computes each of the two lazily, at
+most once, on first use.  Both checks accept either a SymmetricTensor or a
+TensorAnalysis, so a caller that runs both on the same samples (verify
+--suite) passes the same analyses to each and pays for psi and the
+resultant once per sample.  An analysis holds no state beyond its tensor's
+values and lives only as long as its caller keeps it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .echar import (
@@ -179,6 +189,40 @@ def gradient_resultant(f: SymmetricTensor) -> ExactScalar:
     return resultant_value([f.poly.diff(i).scale(inv_d) for i in range(f.n_vars)])
 
 
+class TensorAnalysis:
+    """One tensor's psi and gradient resultant, each computed at most once.
+
+    Both values are lazy: a check that stops early (a deficient or
+    irregular tensor) never pays for the resultant.  They go through the
+    module-level e_char_poly and gradient_resultant with the tensor as the
+    first argument, so a caller that rebinds those names sees every call.
+    """
+
+    def __init__(self, f: SymmetricTensor):
+        self.f = f
+
+    @staticmethod
+    def of(x: "SymmetricTensor | TensorAnalysis") -> "TensorAnalysis":
+        """x itself when it is an analysis, else a fresh analysis of x."""
+        return x if isinstance(x, TensorAnalysis) else TensorAnalysis(x)
+
+    @property
+    def n(self) -> int:
+        return self.f.n
+
+    @property
+    def d(self) -> int:
+        return self.f.d
+
+    @cached_property
+    def echar(self) -> ECharPoly:
+        return e_char_poly(self.f)
+
+    @cached_property
+    def gradient_resultant(self) -> ExactScalar:
+        return gradient_resultant(self.f)
+
+
 @dataclass(frozen=True)
 class MainTheoremReport:
     """Outcome of the product-of-eigenvalues identity on one tensor.
@@ -210,7 +254,7 @@ class MainTheoremReport:
 MAIN_THEOREM_RTOL = 1e-6
 
 
-def verify_main_theorem(f: SymmetricTensor) -> MainTheoremReport:
+def verify_main_theorem(f: SymmetricTensor | TensorAnalysis) -> MainTheoremReport:
     """Check the eigenvalue-product identity on one regular tensor.
 
     For n = 1:  |product of eigenvalues| * |qdisc|^((d-2)/2) must equal
@@ -226,11 +270,13 @@ def verify_main_theorem(f: SymmetricTensor) -> MainTheoremReport:
     Deficient or irregular tensors short-circuit to HYPOTHESIS_FAILED with
     the isotropic-eigenvector certificate attached.
     """
+    analysis = TensorAnalysis.of(f)
+    f = analysis.f
     n, d = f.n, f.d
     parity = "even" if d % 2 == 0 else "odd"
     if n not in (1, 2):
         raise UnsupportedDimensionError("verify_main_theorem covers n <= 2")
-    ec = e_char_poly(f)
+    ec = analysis.echar
     if is_irregular(f) or ec.deficient:
         cert = find_deficit_solution(f)
         return MainTheoremReport(
@@ -243,7 +289,7 @@ def verify_main_theorem(f: SymmetricTensor) -> MainTheoremReport:
             if ec.deficient
             else "irregular tensor",
         )
-    res = gradient_resultant(f)
+    res = analysis.gradient_resultant
     c0 = ec.psi.coeff(0)
     c_top = ec.psi.coeffs[-1]
     count = ec.eigen_count
@@ -311,7 +357,7 @@ def _unit_sign(value: GaussianRational) -> int | None:
 
 
 def constant_term_ratio(
-    samples: list[SymmetricTensor], parity: str | None = None
+    samples: list[SymmetricTensor | TensorAnalysis], parity: str | None = None
 ) -> ExactScalar:
     """The shared exact ratio c0 / Res^(1 or 2) across same-shape samples.
 
@@ -319,6 +365,7 @@ def constant_term_ratio(
     exactly; the first disagreement raises RatioMismatchError naming the
     offending pair.
     """
+    samples = [TensorAnalysis.of(x) for x in samples]
     if len(samples) < 2:
         raise ValueError("constant_term_ratio needs at least two samples")
     shape = (samples[0].n, samples[0].d)
@@ -334,11 +381,11 @@ def constant_term_ratio(
     power = 1 if parity == "even" else 2
     ratio = None
     first = 0
-    for idx, f in enumerate(samples):
-        ec = e_char_poly(f)
+    for idx, analysis in enumerate(samples):
+        ec = analysis.echar
         if ec.deficient:
             raise ValueError(f"sample {idx} is deficient; ratio undefined")
-        res = gradient_resultant(f)
+        res = analysis.gradient_resultant
         value = ec.psi.coeff(0) / res**power
         if ratio is None:
             ratio = value

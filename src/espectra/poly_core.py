@@ -381,24 +381,7 @@ class MultiPoly:
                               for j in range(m_new)})
             for row in matrix
         ]
-        # cache powers of each image form
-        pow_cache: list[dict[int, MultiPoly]] = [dict() for _ in range(self.n_vars)]
-
-        def img_pow(i: int, k: int) -> MultiPoly:
-            got = pow_cache[i].get(k)
-            if got is None:
-                got = images[i] ** k
-                pow_cache[i][k] = got
-            return got
-
-        acc = MultiPoly.zero(m_new)
-        for e, c in self.terms.items():
-            term = MultiPoly.constant(m_new, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * img_pow(i, k)
-            acc = acc + term
-        return acc
+        return compose(self, images)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -415,6 +398,28 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.n_vars}, {self.terms!r})"
+
+
+def compose(p: MultiPoly, images: Sequence[MultiPoly]) -> MultiPoly:
+    """p(images[0], ..., images[m-1]): substitute one polynomial per variable.
+
+    The images share a variable count, which the result takes.  Each image
+    power is computed once per call; there is no cache across calls, since
+    the cost is in the term products, not in the powers.
+    """
+    m_new = images[0].n_vars
+    cache: list[dict[int, MultiPoly]] = [dict() for _ in images]
+    acc = MultiPoly.zero(m_new)
+    for e, c in p.terms.items():
+        term = MultiPoly.constant(m_new, c)
+        for i, k in enumerate(e):
+            if k:
+                got = cache[i].get(k)
+                if got is None:
+                    got = cache[i][k] = images[i] ** k
+                term = term * got
+        acc = acc + term
+    return acc
 
 
 def quadric_form(n_vars: int) -> MultiPoly:
@@ -711,24 +716,7 @@ def conic_restrict_poly(p: MultiPoly) -> MultiPoly:
     x1 = s2 - t2
     x2 = (s2 + t2).scale(I)
     x3 = st.scale(2)
-    images = [x1, x2, x3]
-    cache: list[dict[int, MultiPoly]] = [dict() for _ in range(3)]
-
-    def ipow(i, k):
-        got = cache[i].get(k)
-        if got is None:
-            got = images[i] ** k
-            cache[i][k] = got
-        return got
-
-    acc = MultiPoly.zero(2)
-    for e, c in p.terms.items():
-        term = MultiPoly.constant(2, c)
-        for i, k in enumerate(e):
-            if k:
-                term = term * ipow(i, k)
-        acc = acc + term
-    return acc
+    return compose(p, [x1, x2, x3])
 
 
 def restrict_to_conic(f: SymmetricTensor) -> MultiPoly:

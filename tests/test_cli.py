@@ -284,3 +284,31 @@ def test_echar_leaves_numpy_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False False 0"
+
+
+def test_verify_suite_computes_psi_and_resultant_once_per_sample(capsys, monkeypatch):
+    import espectra.invariants as inv
+
+    counts = {"e_char_poly": 0, "gradient_resultant": 0}
+    for name in counts:
+        def counting(f, *rest, _real=getattr(inv, name), _name=name):
+            counts[_name] += 1
+            return _real(f, *rest)
+
+        monkeypatch.setattr(inv, name, counting)
+    code, out = run(capsys, ["verify", "--suite", "1,4", "--samples", "3", "--seed", "0"])
+    assert code == EXIT_OK
+    assert report_outputs(out)["constant_agrees"] is True
+    assert counts == {"e_char_poly": 3, "gradient_resultant": 3}
+
+
+def test_cli_e2e_script_passes(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    # the script's scratch files land under tmp_path, which pytest prunes
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "TMPDIR": str(tmp_path)}
+    proc = subprocess.run(
+        [sys.executable, "scripts/cli_e2e.py"],
+        cwd=root, capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "ALL CLI CHECKS PASSED" in proc.stdout

@@ -1,8 +1,10 @@
 """Characteristic polynomial construction, degrees, parity, deficiency."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from espectra.echar import (
     UnsupportedDimensionError,
@@ -13,11 +15,18 @@ from espectra.echar import (
     is_irregular,
     psi_degree_bound,
 )
-from espectra.generators import fermat_tensor, random_tensor, tangent_tensor
+from espectra.generators import (
+    apply_rotation,
+    fermat_tensor,
+    random_rotation,
+    random_tensor,
+    tangent_tensor,
+)
 from espectra.poly_core import (
     GaussianRational,
     MultiPoly,
     SymmetricTensor,
+    UniPoly,
     quadric_form,
 )
 from espectra.resultant_engine import (
@@ -155,3 +164,40 @@ def test_odd_psi_from_half_the_nodes_equals_full_interpolation(n, d):
     for k in (1, 2, bound // 2 + 1):
         direct = macaulay_resultant(MacaulaySystem(system.at(-k)))
         assert psi.eval_exact(gr(-k)) == direct
+
+
+# exact laws of psi; hypothesis draws binary forms, the pinned examples add
+# one ternary cubic and one ternary quartic
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.just(1), d=st.integers(3, 6), seed=st.integers(0, 10**6),
+       rot_seed=st.integers(0, 10**6))
+@example(n=2, d=3, seed=1, rot_seed=2)
+@example(n=2, d=4, seed=1, rot_seed=2)
+def test_psi_is_invariant_under_exact_rotations(n, d, seed, rot_seed):
+    # x -> Q y with Q special orthogonal fixes the quadric and has det 1,
+    # so the resultant of the eigen-system is unchanged for every lambda
+    f = random_tensor(n, d, seed=seed)
+    g = apply_rotation(f, random_rotation(n + 1, rot_seed))
+    assert e_char_poly(g).psi == e_char_poly(f).psi
+
+
+_NONZERO_GAUSSIAN = st.builds(
+    lambda a, b, q: GaussianRational.of(Fraction(a, q), Fraction(b, q)),
+    st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 4),
+).filter(bool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.just(1), d=st.integers(3, 6), seed=st.integers(0, 10**6),
+       c=_NONZERO_GAUSSIAN)
+@example(n=2, d=3, seed=1, c=gr(Fraction(2, 3), -1))
+@example(n=2, d=4, seed=1, c=gr(-3, 2))
+def test_psi_scaling_law(n, d, seed, c):
+    # psi_{cf}(lam) = c^e psi_f(lam / c), e = (n+1)(d-1)^n for even d and
+    # twice that for odd d: the resultant is homogeneous in each form
+    f = random_tensor(n, d, seed=seed)
+    e = (n + 1) * (d - 1) ** n * (1 if d % 2 == 0 else 2)
+    psi = e_char_poly(f).psi
+    scaled = e_char_poly(SymmetricTensor(f.poly.scale(c), d)).psi
+    assert scaled == UniPoly([c ** (e - j) * a for j, a in enumerate(psi.coeffs)])

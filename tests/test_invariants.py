@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from espectra.generators import fermat_tensor, random_tensor, tangent_tensor
+import espectra.invariants as invariants_mod
 from espectra.invariants import (
     DegenerateRestrictionError,
+    TensorAnalysis,
     binary_q_discriminant,
     constant_term_ratio,
     fermat_h_polynomial,
@@ -156,3 +158,38 @@ def test_gradient_resultant_fermat_closed_form():
     f = fermat_tensor((gr(2), gr(-3), gr(1, 1)), 3)
     expect = (gr(2) * gr(-3) * gr(1, 1)) ** 4
     assert gradient_resultant(f) == expect
+
+
+def test_analysis_gives_the_same_reports_as_the_tensor():
+    for n, d in ((1, 3), (1, 4), (2, 3)):
+        samples = [random_tensor(n, d, seed=s) for s in range(3)]
+        analyses = [TensorAnalysis(f) for f in samples]
+        for f, a in zip(samples, analyses):
+            assert verify_main_theorem(a) == verify_main_theorem(f)
+        # the analyses already hold psi and the resultant from the verdicts
+        assert constant_term_ratio(analyses) == constant_term_ratio(samples)
+
+
+def test_analysis_of_returns_an_analysis_unchanged():
+    a = TensorAnalysis(random_tensor(1, 3, seed=0))
+    assert TensorAnalysis.of(a) is a
+    assert TensorAnalysis.of(a.f).f is a.f
+    assert (a.n, a.d) == (1, 3)
+
+
+def test_deficient_sample_never_computes_gradient_resultant(monkeypatch):
+    calls = []
+    real = invariants_mod.gradient_resultant
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(invariants_mod, "gradient_resultant", counting)
+    tangent = TensorAnalysis(tangent_tensor(2, 3, seed=1))
+    rep = verify_main_theorem(tangent)
+    assert rep.verdict == "HYPOTHESIS_FAILED"
+    assert calls == []
+    # the shared analysis still makes the constant check refuse the sample
+    with pytest.raises(ValueError, match="sample 1 is deficient"):
+        constant_term_ratio([TensorAnalysis(random_tensor(2, 3, seed=0)), tangent])
